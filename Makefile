@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build test race race-parallel chaos dataset serve trace cluster fleet vet bench bench-telemetry bench-gate profile clean
+.PHONY: check fmt build test race race-parallel chaos dataset serve trace cluster fleet vet bench bench-telemetry bench-gate profile clean
 
-# check is the full verification gate: vet, build, the test suite under
+# check is the full verification gate: gofmt, vet, build, the test suite under
 # the race detector, the parallel-study workload under the race
 # detector at eight workers, the fault-injection chaos matrix, the
 # dataset round-trip and merge determinism suite, the study-service
@@ -12,10 +12,15 @@ GO ?= go
 # additionally run the performance
 # regression gate (off by default: it re-measures codec throughput, so
 # it is meaningful only on quiet, comparable hardware).
-check: vet build race race-parallel chaos dataset serve trace cluster fleet
+check: fmt vet build race race-parallel chaos dataset serve trace cluster fleet
 ifneq ($(BENCH_GATE),)
 check: bench-gate
 endif
+
+# fmt fails when any Go source is not gofmt-clean. It lists the source
+# directories explicitly because .bench_build/ holds module sources.
+fmt:
+	test -z "$$(gofmt -l cmd internal examples *.go)"
 
 build:
 	$(GO) build ./...

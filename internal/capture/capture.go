@@ -308,7 +308,7 @@ func (b *WorkerBuffer) Flush() {
 // observation order begins with the timestamp, and every month's
 // timestamps precede the next month's, sorting each drained month
 // independently yields exactly the per-month groups a whole-run
-// canonical sort would: the spilled shard bytes match the bulk path's.
+// canonical sort would: the spilled shard bytes match a whole-run write's.
 func (s *Store) TakeMonth(m clock.Month) ([]*Observation, []RevocationEvent) {
 	var obs []*Observation
 	for i := range s.shards {

@@ -499,6 +499,7 @@ func (c *Coordinator) dispatch(ctx context.Context, workDir string) {
 		w := c.pickWorker(j)
 		if w == nil {
 			if len(j.attempts) == 0 && !c.anyHope(j) {
+				c.settleExcluded(ctx, j)
 				j.state = jobLost
 				c.tel.Counter("coord.jobs.lost").Inc()
 				c.opts.Logf("job %d lost: %d devices exhausted every worker", j.index, len(j.devices))
@@ -506,6 +507,27 @@ func (c *Coordinator) dispatch(ctx context.Context, workDir string) {
 			continue
 		}
 		c.startAttempt(ctx, j, w, false, workDir)
+	}
+}
+
+// settleExcluded resolves the liveness of every worker that j has
+// excluded before j is declared lost. The attempt that excluded a
+// worker can fail fast on a severed connection long before the
+// heartbeats count the worker dead, so one synchronous readiness probe
+// per undecided worker decides it now; a failed probe marks the worker
+// lost through the same path as missed heartbeats. Either way the job
+// stays lost: a live worker that failed it is still excluded.
+func (c *Coordinator) settleExcluded(ctx context.Context, j *subJob) {
+	for _, w := range c.workers {
+		if !j.excluded[w.name] || w.state == workerLost || w.state == workerLeaving {
+			continue
+		}
+		probeCtx, cancel := context.WithTimeout(ctx, c.opts.ProbeTimeout)
+		rd := w.client.ready(probeCtx)
+		cancel()
+		if !rd.OK {
+			c.markLost(w, "readiness probe failed with every worker exhausted")
+		}
 	}
 }
 
@@ -709,18 +731,7 @@ func (c *Coordinator) handleHeartbeat(ev event) {
 		w.misses++
 		c.tel.Counter("coord.heartbeat.misses").Inc()
 		if w.misses >= c.opts.HeartbeatMisses && w.state != workerLost {
-			w.state = workerLost
-			c.tel.Counter("coord.workers.lost").Inc()
-			c.opts.Logf("worker %s lost (%d consecutive missed heartbeats)", w.name, w.misses)
-			// Its in-flight attempts can't finish; fail them proactively
-			// instead of waiting for their HTTP calls to exhaust retries.
-			for _, j := range c.jobs {
-				for _, at := range append([]*attempt(nil), j.attempts...) {
-					if at.worker == w {
-						at.cancel()
-					}
-				}
-			}
+			c.markLost(w, fmt.Sprintf("%d consecutive missed heartbeats", w.misses))
 		}
 		return
 	}
@@ -743,6 +754,22 @@ func (c *Coordinator) handleHeartbeat(ev event) {
 			}
 		}
 		c.opts.Logf("worker %s rejoined", w.name)
+	}
+}
+
+// markLost declares w dead: counted once, and its in-flight attempts
+// cancelled — they can't finish, so fail them proactively instead of
+// waiting for their HTTP calls to exhaust retries.
+func (c *Coordinator) markLost(w *workerState, why string) {
+	w.state = workerLost
+	c.tel.Counter("coord.workers.lost").Inc()
+	c.opts.Logf("worker %s lost (%s)", w.name, why)
+	for _, j := range c.jobs {
+		for _, at := range append([]*attempt(nil), j.attempts...) {
+			if at.worker == w {
+				at.cancel()
+			}
+		}
 	}
 }
 

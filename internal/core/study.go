@@ -87,19 +87,14 @@ type Study struct {
 	// the whole run's — the fleet-scale capture mode. The dataset
 	// layer's Spiller installs it and appends each month to the on-disk
 	// shards; because both the observation and revocation canonical
-	// orders sort on time first, per-month spills reproduce the bulk
-	// writer's bytes exactly. While spilling, RunAll skips the in-memory
+	// orders sort on time first, per-month spills reproduce a whole-run
+	// write's bytes exactly. While spilling, RunAll skips the in-memory
 	// passive analyses (the store is empty by design; artifacts are
 	// rendered from the persisted dataset via analyze/Restore instead).
 	SpillMonth func(m clock.Month, obs []*capture.Observation, revs []capture.RevocationEvent) error
 
 	workersOnce sync.Once
 	workers     int
-
-	// workerSet is the persistent worker pool RunAll threads through
-	// every phase (nil outside RunAll: individually-invoked phases fall
-	// back to per-call dispatch).
-	workerSet *pool.Workers
 
 	// tracer, when armed, records the study's causal span tree. The
 	// root is created lazily at the first phase; tracePhase holds the
@@ -242,13 +237,8 @@ func (s *Study) RunPassive() (*traffic.Stats, error) {
 	return s.RunPassiveWindow(device.StudyStart, device.StudyEnd)
 }
 
-// runSpans dispatches a phase's device batch: over the persistent
-// worker set inside RunAll, or a one-shot pool otherwise.
+// runSpans dispatches a phase's device batch over the study's workers.
 func (s *Study) runSpans(items int, name string, detail func(int) string, fn func(worker, item int, sp *trace.Span)) {
-	if s.workerSet != nil {
-		s.workerSet.RunSpans(items, s.tracePhase, name, detail, fn)
-		return
-	}
 	pool.RunSpans(s.Workers(), items, s.tracePhase, name, detail, fn)
 }
 
@@ -259,7 +249,6 @@ func (s *Study) RunPassiveWindow(from, to clock.Month) (*traffic.Stats, error) {
 	sp := s.phaseSpan("passive")
 	gen := traffic.New(s.Network, s.Registry, s.Collector, s.Clock)
 	gen.Parallelism = s.Workers()
-	gen.Pool = s.workerSet
 	gen.Stop = s.Interrupted
 	gen.Trace = s.tracePhase
 	if s.SpillMonth != nil {
@@ -400,7 +389,6 @@ func (s *Study) RunProbe() (amenable []*probe.Report, candidates int, err error)
 	s.advanceToActiveWindow()
 	sp := s.phaseSpan("probe")
 	s.Prober.Parallelism = s.Workers()
-	s.Prober.Pool = s.workerSet
 	s.Prober.Trace = s.tracePhase
 	amenable, candidates, err = s.Prober.ExploreAll()
 	sp.EndErr(err)
@@ -451,10 +439,6 @@ type Report struct {
 func (s *Study) RunAll() (*Report, error) {
 	sp := s.phaseSpan("all")
 	defer func() { sp.End("done") }()
-	// One persistent worker set serves every phase: goroutine spawn is
-	// paid once per study, not once per month barrier and phase.
-	s.workerSet = pool.NewWorkers(s.Workers())
-	defer func() { s.workerSet.Close(); s.workerSet = nil }()
 	defer func() {
 		status := "ok"
 		if len(s.Degradations()) > 0 {

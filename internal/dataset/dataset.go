@@ -73,12 +73,31 @@ func (ds *Dataset) Len() int {
 		len(ds.TraceSpans)
 }
 
-// FromStudy snapshots a completed study run into a Dataset. The report
-// must come from s.RunAll (or an equivalent sequence that populated the
-// store and suite reports).
+// FromStudy snapshots a completed study run into a Dataset. It is the
+// one definition of what a run persists: the streaming Spiller writes
+// its non-passive sections at Finish. The report must come from
+// s.RunAll (or an equivalent sequence that populated the store and
+// suite reports).
 func FromStudy(s *core.Study, rep *core.Report) *Dataset {
 	from, to := s.Window()
-	run := runProvenance(s, rep)
+	run := Run{
+		WindowFrom: from.String(),
+		WindowTo:   to.String(),
+	}
+	if s.Faults != nil {
+		run.FaultSeed = s.Faults.Seed()
+		run.FaultProfile = s.Faults.Profile().Name
+	}
+	for _, d := range s.Registry.Devices {
+		run.Devices = append(run.Devices, d.ID)
+	}
+	sort.Strings(run.Devices)
+	if rep.PassiveStats != nil {
+		run.Stats = *rep.PassiveStats
+	}
+	if rep.Passthrough != nil {
+		run.NoNewValidationFailures = rep.Passthrough.NoNewValidationFailures
+	}
 
 	// The store accumulates past the passive window: the active attack
 	// suites and passthrough controls route their handshakes through the
@@ -121,32 +140,6 @@ func FromStudy(s *core.Study, rep *core.Report) *Dataset {
 		ds.TraceSpans = t.Spans()
 	}
 	return ds
-}
-
-// runProvenance builds one capture run's provenance record; FromStudy
-// and the streaming Spiller share it so the two persistence paths can
-// never drift on what a run claims about itself.
-func runProvenance(s *core.Study, rep *core.Report) Run {
-	from, to := s.Window()
-	run := Run{
-		WindowFrom: from.String(),
-		WindowTo:   to.String(),
-	}
-	if s.Faults != nil {
-		run.FaultSeed = s.Faults.Seed()
-		run.FaultProfile = s.Faults.Profile().Name
-	}
-	for _, d := range s.Registry.Devices {
-		run.Devices = append(run.Devices, d.ID)
-	}
-	sort.Strings(run.Devices)
-	if rep.PassiveStats != nil {
-		run.Stats = *rep.PassiveStats
-	}
-	if rep.Passthrough != nil {
-		run.NoNewValidationFailures = rep.Passthrough.NoNewValidationFailures
-	}
-	return run
 }
 
 func toProbeRecord(r *probe.Report) *ProbeRecord {

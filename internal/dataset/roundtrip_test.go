@@ -120,11 +120,11 @@ func TestRoundTripByteIdentical(t *testing.T) {
 
 // streamCapture runs the full study with the month-spill streaming
 // path armed, persisting into dir as each passive month completes.
-func streamCapture(t *testing.T, parallelism int, dir string) {
+func streamCapture(t *testing.T, parallelism int, dir string, opts dataset.Options) {
 	t.Helper()
 	s := core.NewStudy()
 	s.Parallelism = parallelism
-	sp, err := dataset.NewSpiller(dir, s, dataset.Options{})
+	sp, err := dataset.NewSpiller(dir, s, opts)
 	if err != nil {
 		t.Fatalf("NewSpiller: %v", err)
 	}
@@ -143,25 +143,33 @@ func streamCapture(t *testing.T, parallelism int, dir string) {
 
 // TestStreamingSpillByteIdentical pins the memory-bounded engine's
 // contract: streaming each completed month to disk at the month
-// barrier produces a dataset directory byte-identical to the bulk
-// FromStudy+Write path — every shard and the manifest — at
-// parallelism 1 and 8, and the streamed dataset restores to the same
-// rendered artifacts as the in-memory run.
+// barrier produces a dataset directory byte-identical to a whole-run
+// FromStudy+Write — every shard and the manifest — at
+// parallelism 1 and 8 and with gzip-compressed shards, and the streamed
+// dataset restores to the same rendered artifacts as the in-memory run.
 func TestStreamingSpillByteIdentical(t *testing.T) {
-	for _, par := range []int{1, 8} {
-		par := par
-		t.Run(map[int]string{1: "sequential", 8: "parallel8"}[par], func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		par  int
+		opts dataset.Options
+	}{
+		{"sequential", 1, dataset.Options{}},
+		{"parallel8", 8, dataset.Options{}},
+		{"sequential_gzip", 1, dataset.Options{Gzip: true}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			base := t.TempDir()
 
-			s, rep := runFull(t, par, nil)
+			s, rep := runFull(t, tc.par, nil)
 			bulkDir := filepath.Join(base, "bulk")
-			if err := dataset.Write(bulkDir, dataset.FromStudy(s, rep), dataset.Options{}); err != nil {
+			if err := dataset.Write(bulkDir, dataset.FromStudy(s, rep), tc.opts); err != nil {
 				t.Fatalf("Write: %v", err)
 			}
 
 			streamDir := filepath.Join(base, "stream")
-			streamCapture(t, par, streamDir)
+			streamCapture(t, tc.par, streamDir, tc.opts)
 
 			want := readDirFiles(t, bulkDir)
 			got := readDirFiles(t, streamDir)
@@ -244,8 +252,8 @@ func readDirFiles(t *testing.T, dir string) map[string][]byte {
 
 // TestPoolingByteIdenticalOutput pins that encode-buffer pooling is
 // invisible on disk: the same dataset written with pooled encoders and
-// with per-record fresh buffers produces byte-identical shard files and
-// manifests, in both the bulk and the streaming write paths.
+// with freshly allocated buffers produces byte-identical shard files
+// and manifests.
 func TestPoolingByteIdenticalOutput(t *testing.T) {
 	t.Parallel()
 	s, rep := runFull(t, 8, nil)

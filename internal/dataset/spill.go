@@ -17,16 +17,18 @@ import (
 // fleet of 10k-1M devices run through the same engine as the 40-device
 // catalog.
 //
-// The spilled bytes are byte-identical to the bulk Write path for the
-// same study: both canonical record orders (observations and
-// revocation events) sort on the virtual timestamp first, and every
-// month's timestamps precede the next month's, so sorting each drained
-// month independently produces exactly the per-month groups a
-// whole-run canonical sort would — and each month's shard streams its
-// observations before its revocations in both paths. The month barrier
-// guarantees completeness: WaitIdle has joined every sniffer and the
-// worker buffers have flushed before the drain, so no record of a
-// spilled month can arrive late.
+// The spilled bytes are byte-identical to a whole-run Write of the
+// same study, because both feed one Writer through the same section
+// order: a Spiller drains each month through it as the month finishes,
+// Write feeds the whole run at once. Both canonical record orders
+// (observations and revocation events) sort on the virtual timestamp
+// first, and every month's timestamps precede the next month's, so
+// sorting each drained month independently produces exactly the
+// per-month groups a whole-run canonical sort would — and each month's
+// shard receives its observations before its revocations either way.
+// The month barrier guarantees completeness: WaitIdle has joined every
+// sniffer and the worker buffers have flushed before the drain, so no
+// record of a spilled month can arrive late.
 //
 // Usage:
 //
@@ -56,88 +58,39 @@ func NewSpiller(dir string, s *core.Study, opts Options) (*Spiller, error) {
 // Spilled reports the number of passive records streamed so far.
 func (sp *Spiller) Spilled() int { return sp.spilt }
 
-// spill appends one drained month: observations first, then revocation
-// events, matching the bulk writer's per-shard section order.
+// spill appends one drained month: observations first, then
+// revocation events.
 func (sp *Spiller) spill(m clock.Month, obs []*capture.Observation, revs []capture.RevocationEvent) error {
-	for _, o := range obs {
-		if err := sp.w.Observation(o); err != nil {
-			return err
-		}
-	}
-	for _, ev := range revs {
-		if err := sp.w.Revocation(ev); err != nil {
-			return err
-		}
+	if err := sp.w.writeDataset(&Dataset{Observations: obs, Revocations: revs}); err != nil {
+		return err
 	}
 	sp.spilt += len(obs) + len(revs)
 	return nil
 }
 
 // Finish persists everything the passive spill did not cover — the
-// active snapshot, the suite reports, the probe results, the
-// degradation log, the trace shard, and the run provenance — then
-// seals the dataset (manifest written last). The record order per
-// section mirrors the bulk Write path exactly. rep must come from the
-// armed study's RunAll.
+// non-passive sections of FromStudy: run provenance, the active
+// snapshot, the suite reports, the probe results, the degradation log
+// and the trace shard — then seals the dataset (manifest written
+// last). rep must come from the armed study's RunAll.
 func (sp *Spiller) Finish(rep *core.Report) error {
 	if sp.done {
 		return fmt.Errorf("dataset: spiller already finished")
 	}
 	sp.done = true
-	sp.w.AddRun(runProvenance(sp.s, rep))
-	if rep.ActiveStore != nil {
-		sp.w.SetHasActive()
-		for _, o := range rep.ActiveStore.All() {
-			if err := sp.w.ActiveObservation(o); err != nil {
-				return err
-			}
-		}
-	}
-	// Aux section order is the bulk path's: probes, downgrades, old
-	// versions, interceptions, passthroughs, degradations.
-	for _, pr := range rep.ProbeReports {
-		if err := sp.w.ProbeReport(toProbeRecord(pr)); err != nil {
-			return err
-		}
-	}
-	for _, r := range rep.Downgrades {
-		if err := sp.w.Downgrade(r); err != nil {
-			return err
-		}
-	}
-	for _, r := range rep.OldVersions {
-		if err := sp.w.OldVersion(r); err != nil {
-			return err
-		}
-	}
-	for _, r := range rep.Interceptions {
-		if err := sp.w.Interception(r); err != nil {
-			return err
-		}
-	}
-	for _, r := range rep.Passthroughs {
-		if err := sp.w.Passthrough(r); err != nil {
-			return err
-		}
-	}
-	for _, d := range rep.Degradations {
-		if err := sp.w.Degradation(d); err != nil {
-			return err
-		}
-	}
-	if t := sp.s.Tracer(); t != nil {
-		for _, r := range t.Spans() {
-			if err := sp.w.TraceSpan(r); err != nil {
-				return err
-			}
-		}
+	ds := FromStudy(sp.s, rep)
+	// The passive months went to disk at their barriers; a month the
+	// store still holds never finished spilling and is not persisted.
+	ds.Observations, ds.Revocations = nil, nil
+	if err := sp.w.writeDataset(ds); err != nil {
+		return err
 	}
 	return sp.w.Close()
 }
 
 // Abort closes the partially-written shards without writing a
 // manifest: the directory is not a readable dataset, exactly like an
-// interrupted bulk write. Safe to call after a failed Finish.
+// interrupted Write. Safe to call after a failed Finish.
 func (sp *Spiller) Abort() {
 	sp.done = true
 	sp.w.abort()

@@ -11,13 +11,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/capture"
 	"repro/internal/clock"
-	"repro/internal/core"
-	"repro/internal/mitm"
-	"repro/internal/pool"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Options configure dataset I/O.
@@ -28,8 +23,9 @@ type Options struct {
 	Gzip bool
 	// Telemetry receives dataset.* I/O counters and spans; nil is fine.
 	Telemetry *telemetry.Registry
-	// NoPooling disables encode-buffer reuse: every record is encoded
-	// into a fresh buffer. The written bytes are identical either way —
+	// NoPooling bypasses the shared encode-buffer pool: encode buffers
+	// are freshly allocated instead of recycled. The written bytes are
+	// identical either way —
 	// the round-trip determinism test pins that — so the knob exists
 	// only for that test and for debugging aliasing suspicions.
 	NoPooling bool
@@ -129,21 +125,25 @@ func (sw *shardWriter) writeRecord(payload []byte) error {
 	return nil
 }
 
-// finish flushes and closes the shard, sealing its CRC.
+// finish flushes and closes the shard, sealing its CRC. The file is
+// closed even when the flush fails.
 func (sw *shardWriter) finish() error {
+	var err error
 	if sw.gz != nil {
-		if err := sw.gz.Close(); err != nil {
-			return fmt.Errorf("dataset: finish shard %s: %w", sw.info.File, err)
+		if gerr := sw.gz.Close(); gerr != nil {
+			err = fmt.Errorf("dataset: finish shard %s: %w", sw.info.File, gerr)
 		}
 	}
-	if err := sw.bw.Flush(); err != nil {
-		return fmt.Errorf("dataset: flush shard %s: %w", sw.info.File, err)
+	if err == nil {
+		if ferr := sw.bw.Flush(); ferr != nil {
+			err = fmt.Errorf("dataset: flush shard %s: %w", sw.info.File, ferr)
+		}
 	}
-	if err := sw.f.Close(); err != nil {
-		return fmt.Errorf("dataset: close shard %s: %w", sw.info.File, err)
+	if cerr := sw.f.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("dataset: close shard %s: %w", sw.info.File, cerr)
 	}
 	sw.info.CRC32 = sw.crc.Sum32()
-	return nil
+	return err
 }
 
 // shardName renders a shard's file name.
@@ -223,92 +223,91 @@ func (w *Writer) write(kind string, month clock.Month, payload []byte) error {
 	return sw.writeRecord(payload)
 }
 
-// Observation streams one passive handshake observation into its
-// month's shard.
-func (w *Writer) Observation(o *capture.Observation) error {
+// writeDataset streams ds through the Writer in the dataset's canonical
+// section order: passive observations, then revocation events (each
+// record landing in its month's shard), the active snapshot, the aux
+// sections (probes, downgrades, old versions, interceptions,
+// passthroughs, degradations), then the trace spans. It is the only
+// code that encodes dataset records, so a whole-run Write and a
+// month-by-month Spiller cannot disagree on a shard's record order.
+func (w *Writer) writeDataset(ds *Dataset) error {
+	w.runs = append(w.runs, ds.Runs...)
+	if ds.HasActive {
+		w.active = true
+	}
 	e := getEnc(w.opts.NoPooling)
-	encodeObservation(e, recObservation, o)
-	err := w.write(KindPassive, o.Month, e.b)
-	putEnc(e, w.opts.NoPooling)
-	return err
-}
-
-// Revocation streams one revocation event into its month's shard.
-func (w *Writer) Revocation(ev capture.RevocationEvent) error {
-	e := getEnc(w.opts.NoPooling)
-	encodeRevocation(e, ev)
-	err := w.write(KindPassive, clock.MonthOf(ev.Time), e.b)
-	putEnc(e, w.opts.NoPooling)
-	return err
-}
-
-// ActiveObservation streams one active-snapshot observation.
-func (w *Writer) ActiveObservation(o *capture.Observation) error {
-	e := getEnc(w.opts.NoPooling)
-	encodeObservation(e, recActiveObservation, o)
-	err := w.write(KindActive, clock.Month{}, e.b)
-	putEnc(e, w.opts.NoPooling)
-	return err
-}
-
-// aux streams one already-encoded aux record.
-func (w *Writer) aux(e *enc) error {
-	err := w.write(KindAux, clock.Month{}, e.b)
-	putEnc(e, w.opts.NoPooling)
-	return err
-}
-
-// ProbeReport streams one root-store probe result.
-func (w *Writer) ProbeReport(r *ProbeRecord) error {
-	e := getEnc(w.opts.NoPooling)
-	encodeProbeReport(e, r)
-	return w.aux(e)
-}
-
-// Downgrade streams one version-downgrade suite report.
-func (w *Writer) Downgrade(r *mitm.DowngradeReport) error {
-	e := getEnc(w.opts.NoPooling)
-	encodeDowngrade(e, r)
-	return w.aux(e)
-}
-
-// OldVersion streams one old-version acceptance report.
-func (w *Writer) OldVersion(r *mitm.OldVersionReport) error {
-	e := getEnc(w.opts.NoPooling)
-	encodeOldVersion(e, r)
-	return w.aux(e)
-}
-
-// Interception streams one interception suite report.
-func (w *Writer) Interception(r *mitm.InterceptionReport) error {
-	e := getEnc(w.opts.NoPooling)
-	encodeInterception(e, r)
-	return w.aux(e)
-}
-
-// Passthrough streams one traffic-passthrough control report.
-func (w *Writer) Passthrough(r *mitm.PassthroughReport) error {
-	e := getEnc(w.opts.NoPooling)
-	encodePassthrough(e, r)
-	return w.aux(e)
-}
-
-// Degradation streams one contained-incident log entry.
-func (w *Writer) Degradation(d core.Degradation) error {
-	e := getEnc(w.opts.NoPooling)
-	encodeDegradation(e, d)
-	return w.aux(e)
-}
-
-// TraceSpan streams one causal trace span. Spans must be fed in
-// canonical (DFS) order for deterministic output; trace.Canonical
-// establishes it.
-func (w *Writer) TraceSpan(r trace.SpanRecord) error {
-	e := getEnc(w.opts.NoPooling)
-	encodeTraceSpan(e, r)
-	err := w.write(KindTrace, clock.Month{}, e.b)
-	putEnc(e, w.opts.NoPooling)
-	return err
+	defer putEnc(e, w.opts.NoPooling)
+	for _, o := range ds.Observations {
+		e.reset()
+		encodeObservation(e, recObservation, o)
+		if err := w.write(KindPassive, o.Month, e.b); err != nil {
+			return err
+		}
+	}
+	for _, ev := range ds.Revocations {
+		e.reset()
+		encodeRevocation(e, ev)
+		if err := w.write(KindPassive, clock.MonthOf(ev.Time), e.b); err != nil {
+			return err
+		}
+	}
+	for _, o := range ds.ActiveObservations {
+		e.reset()
+		encodeObservation(e, recActiveObservation, o)
+		if err := w.write(KindActive, clock.Month{}, e.b); err != nil {
+			return err
+		}
+	}
+	for _, r := range ds.ProbeReports {
+		e.reset()
+		encodeProbeReport(e, r)
+		if err := w.write(KindAux, clock.Month{}, e.b); err != nil {
+			return err
+		}
+	}
+	for _, r := range ds.Downgrades {
+		e.reset()
+		encodeDowngrade(e, r)
+		if err := w.write(KindAux, clock.Month{}, e.b); err != nil {
+			return err
+		}
+	}
+	for _, r := range ds.OldVersions {
+		e.reset()
+		encodeOldVersion(e, r)
+		if err := w.write(KindAux, clock.Month{}, e.b); err != nil {
+			return err
+		}
+	}
+	for _, r := range ds.Interceptions {
+		e.reset()
+		encodeInterception(e, r)
+		if err := w.write(KindAux, clock.Month{}, e.b); err != nil {
+			return err
+		}
+	}
+	for _, r := range ds.Passthroughs {
+		e.reset()
+		encodePassthrough(e, r)
+		if err := w.write(KindAux, clock.Month{}, e.b); err != nil {
+			return err
+		}
+	}
+	for _, d := range ds.Degradations {
+		e.reset()
+		encodeDegradation(e, d)
+		if err := w.write(KindAux, clock.Month{}, e.b); err != nil {
+			return err
+		}
+	}
+	for _, r := range ds.TraceSpans {
+		e.reset()
+		encodeTraceSpan(e, r)
+		if err := w.write(KindTrace, clock.Month{}, e.b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Close flushes every shard and writes the manifest. The Writer is
@@ -325,11 +324,15 @@ func (w *Writer) Close() error {
 		HasActive: w.active,
 		Runs:      w.runs,
 	}
+	var err error
 	for _, sw := range w.shards {
-		if err := sw.finish(); err != nil {
-			return err
+		if ferr := sw.finish(); ferr != nil && err == nil {
+			err = ferr
 		}
 		m.Shards = append(m.Shards, sw.info)
+	}
+	if err != nil {
+		return err
 	}
 	return writeManifest(w.dir, m)
 }
@@ -347,184 +350,20 @@ func (w *Writer) abort() {
 	}
 }
 
-// shardJob is one shard's worth of bulk-write work: the shard identity
-// plus an emit callback streaming every record belonging to it, in the
-// dataset's canonical section order.
-type shardJob struct {
-	kind  string
-	month clock.Month
-	emit  func(sw *shardWriter, e *enc) error
-}
-
-// Write persists a whole in-memory Dataset to dir. Shards are encoded
-// and written in parallel — they are independent by construction (one
-// file each, own CRC, own record stream) — and the manifest is sorted,
-// so the resulting directory is byte-identical to a sequential write.
+// Write persists a whole in-memory Dataset to dir by streaming it
+// through a Writer, so the directory is byte-identical to a Spiller's
+// for the same run. On any error the Writer is aborted: no manifest is
+// written and the directory is not a readable dataset.
 func Write(dir string, ds *Dataset, opts Options) (err error) {
 	span := opts.Telemetry.StartSpan("dataset.write")
 	defer func() { span.EndErr(err) }()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("dataset: create %s: %w", dir, err)
+	w, err := NewWriter(dir, opts)
+	if err != nil {
+		return err
 	}
-	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err == nil {
-		return fmt.Errorf("dataset: %s already holds a dataset (refusing to overwrite)", dir)
+	if err := w.writeDataset(ds); err != nil {
+		w.abort()
+		return err
 	}
-	ctrs := newWriteCounters(opts.Telemetry)
-
-	// Group the passive sections by month, preserving in-dataset order:
-	// each month's shard streams its observations first, then its
-	// revocations, exactly as the streaming Writer would.
-	monthObs := make(map[clock.Month][]*capture.Observation)
-	monthRevs := make(map[clock.Month][]capture.RevocationEvent)
-	var months []clock.Month
-	seen := make(map[clock.Month]bool)
-	note := func(m clock.Month) {
-		if !seen[m] {
-			seen[m] = true
-			months = append(months, m)
-		}
-	}
-	for _, o := range ds.Observations {
-		note(o.Month)
-		monthObs[o.Month] = append(monthObs[o.Month], o)
-	}
-	for _, ev := range ds.Revocations {
-		m := clock.MonthOf(ev.Time)
-		note(m)
-		monthRevs[m] = append(monthRevs[m], ev)
-	}
-
-	var jobs []shardJob
-	for _, m := range months {
-		m := m
-		jobs = append(jobs, shardJob{kind: KindPassive, month: m, emit: func(sw *shardWriter, e *enc) error {
-			for _, o := range monthObs[m] {
-				e.reset()
-				encodeObservation(e, recObservation, o)
-				if err := sw.writeRecord(e.b); err != nil {
-					return err
-				}
-			}
-			for _, ev := range monthRevs[m] {
-				e.reset()
-				encodeRevocation(e, ev)
-				if err := sw.writeRecord(e.b); err != nil {
-					return err
-				}
-			}
-			return nil
-		}})
-	}
-	if len(ds.ActiveObservations) > 0 {
-		jobs = append(jobs, shardJob{kind: KindActive, emit: func(sw *shardWriter, e *enc) error {
-			for _, o := range ds.ActiveObservations {
-				e.reset()
-				encodeObservation(e, recActiveObservation, o)
-				if err := sw.writeRecord(e.b); err != nil {
-					return err
-				}
-			}
-			return nil
-		}})
-	}
-	if len(ds.ProbeReports)+len(ds.Downgrades)+len(ds.OldVersions)+
-		len(ds.Interceptions)+len(ds.Passthroughs)+len(ds.Degradations) > 0 {
-		jobs = append(jobs, shardJob{kind: KindAux, emit: func(sw *shardWriter, e *enc) error {
-			write := func(encode func(*enc)) error {
-				e.reset()
-				encode(e)
-				return sw.writeRecord(e.b)
-			}
-			for _, r := range ds.ProbeReports {
-				r := r
-				if err := write(func(e *enc) { encodeProbeReport(e, r) }); err != nil {
-					return err
-				}
-			}
-			for _, r := range ds.Downgrades {
-				r := r
-				if err := write(func(e *enc) { encodeDowngrade(e, r) }); err != nil {
-					return err
-				}
-			}
-			for _, r := range ds.OldVersions {
-				r := r
-				if err := write(func(e *enc) { encodeOldVersion(e, r) }); err != nil {
-					return err
-				}
-			}
-			for _, r := range ds.Interceptions {
-				r := r
-				if err := write(func(e *enc) { encodeInterception(e, r) }); err != nil {
-					return err
-				}
-			}
-			for _, r := range ds.Passthroughs {
-				r := r
-				if err := write(func(e *enc) { encodePassthrough(e, r) }); err != nil {
-					return err
-				}
-			}
-			for _, d := range ds.Degradations {
-				d := d
-				if err := write(func(e *enc) { encodeDegradation(e, d) }); err != nil {
-					return err
-				}
-			}
-			return nil
-		}})
-	}
-	if len(ds.TraceSpans) > 0 {
-		jobs = append(jobs, shardJob{kind: KindTrace, emit: func(sw *shardWriter, e *enc) error {
-			for _, r := range ds.TraceSpans {
-				e.reset()
-				encodeTraceSpan(e, r)
-				if err := sw.writeRecord(e.b); err != nil {
-					return err
-				}
-			}
-			return nil
-		}})
-	}
-
-	infos := make([]ShardInfo, len(jobs))
-	errs := make([]error, len(jobs))
-	pool.Run(0, len(jobs), func(_, i int) {
-		job := jobs[i]
-		monthStr := ""
-		if job.kind == KindPassive {
-			monthStr = job.month.String()
-		}
-		sw, err := newShardWriter(dir, shardName(job.kind, job.month, opts.Gzip), job.kind, monthStr, opts.Gzip, ctrs)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		e := getEnc(opts.NoPooling)
-		if err := job.emit(sw, e); err != nil {
-			errs[i] = err
-			return
-		}
-		putEnc(e, opts.NoPooling)
-		if err := sw.finish(); err != nil {
-			errs[i] = err
-			return
-		}
-		infos[i] = sw.info
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-
-	m := &Manifest{
-		Schema:    Schema,
-		Version:   Version,
-		Gzip:      opts.Gzip,
-		HasActive: ds.HasActive,
-		Runs:      append([]Run(nil), ds.Runs...),
-		Shards:    infos,
-	}
-	return writeManifest(dir, m)
+	return w.Close()
 }

@@ -478,8 +478,8 @@ func (m *Manager) Cancel(id, reason string) (*Job, error) {
 // memory-bounded month-spill path streaming each completed month into
 // the dataset directory, then render artifacts from the persisted
 // bytes — the same bytes `iotls capture` + `iotls analyze` produce for
-// the same spec (the spill path is byte-identical to the bulk one), so
-// serve artifacts are byte-identical to CLI artifacts. Streaming keeps
+// the same spec, so serve artifacts are byte-identical to CLI
+// artifacts. Streaming keeps
 // a worker's peak RSS bounded by its largest month even when the job
 // carries a 100k-device synthetic fleet.
 func (j *Job) runStudy() (degraded bool, err error) {

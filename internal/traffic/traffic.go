@@ -43,11 +43,6 @@ type Generator struct {
 	// engine exactly (and any value reproduces its artifacts).
 	Parallelism int
 
-	// Pool, when non-nil, dispatches each month's batch over a
-	// persistent worker set instead of spawning workers per month.
-	// Parallelism is ignored in favour of the set's size.
-	Pool *pool.Workers
-
 	// Trace, when set, is the passive phase's span: each month becomes
 	// a child, each device's monthly batch a child of the month, and
 	// every handshake a connect span beneath.
@@ -115,9 +110,6 @@ func (g *Generator) Run(first, last clock.Month) (*Stats, error) {
 	stats := &Stats{}
 	tel := g.Network.Telemetry()
 	workers := pool.Parallelism(g.Parallelism)
-	if g.Pool != nil {
-		workers = g.Pool.Count()
-	}
 	handshakes := tel.Counter("traffic.handshakes")
 	weightedConns := tel.Counter("traffic.weighted_conns")
 	failedConnects := tel.Counter("traffic.failed_connects")
@@ -161,14 +153,7 @@ func (g *Generator) Run(first, last clock.Month) (*Stats, error) {
 
 		accs := make([]Stats, workers)
 		month := m
-		dispatch := func(items int, parent *trace.Span, name string, detail func(int) string, fn func(int, int, *trace.Span)) {
-			if g.Pool != nil {
-				g.Pool.RunSpans(items, parent, name, detail, fn)
-			} else {
-				pool.RunSpans(workers, items, parent, name, detail, fn)
-			}
-		}
-		dispatch(len(items), msp, "device",
+		pool.RunSpans(workers, len(items), msp, "device",
 			func(i int) string { return items[i].dev.ID },
 			func(worker, i int, dsp *trace.Span) {
 				it := items[i]
