@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt build test race race-parallel chaos dataset serve trace cluster fleet vet bench bench-telemetry bench-gate profile clean
+.PHONY: check fmt build test race race-parallel chaos dataset serve trace cluster fleet fuzz vet bench bench-telemetry bench-gate profile clean
 
 # check is the full verification gate: gofmt, vet, build, the test suite under
 # the race detector, the parallel-study workload under the race
@@ -8,11 +8,12 @@ GO ?= go
 # dataset round-trip and merge determinism suite, the study-service
 # scheduler/drain suite, and the trace determinism/attribution/leak
 # suite, and the fleet-scale smoke (10k synthetic devices through the
-# month-spill path under a peak-RSS ceiling). Set BENCH_GATE=1 to
+# month-spill path under a peak-RSS ceiling), and a bounded run of every
+# native fuzz target. Set BENCH_GATE=1 to
 # additionally run the performance
 # regression gate (off by default: it re-measures codec throughput, so
 # it is meaningful only on quiet, comparable hardware).
-check: fmt vet build race race-parallel chaos dataset serve trace cluster fleet
+check: fmt vet build race race-parallel chaos dataset serve trace cluster fleet fuzz
 ifneq ($(BENCH_GATE),)
 check: bench-gate
 endif
@@ -85,6 +86,15 @@ cluster:
 # the fleet to 1k devices for quick iteration.
 fleet:
 	$(GO) test -run 'TestFleetSmoke|TestFleetDeterminism' -count=1 -timeout 15m ./internal/fleet/
+
+# fuzz runs each native fuzz target for a bounded time (go test fuzzes
+# one target per invocation). The certificate decoder must never panic,
+# and every encoding it accepts must re-marshal byte for byte. A failing
+# input lands in the package's testdata/fuzz/ directory; commit it, and
+# plain `go test` replays it as a regression test from then on.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/certs/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseChain$$' -fuzztime 20s ./internal/certs/
 
 # trace pins the causal-trace contracts under the race detector: an
 # aggressive-fault study at parallelism 1 and 8 emits byte-identical

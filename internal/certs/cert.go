@@ -19,11 +19,11 @@ import (
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -100,16 +100,6 @@ type Certificate struct {
 	fingerprint string
 	subjectKey  string
 	issuerStr   string
-
-	// sigMemo caches CheckSignatureFrom outcomes per parent
-	// certificate. Signature verification is a pure function of two
-	// immutable (sealed) certificates, so the memo is sound; like the
-	// other caches it is only consulted when self == c. Keys are the
-	// parent's pointer identity — valid because sealed certificates are
-	// never mutated. Held by pointer (allocated in seal) so a shallow
-	// certificate copy — which the corruption tests make deliberately —
-	// copies a reference, not the map's internal locks.
-	sigMemo *sync.Map // *Certificate -> error
 }
 
 // Fingerprint returns the SHA-256 hash of the full certificate encoding,
@@ -152,7 +142,6 @@ func (c *Certificate) issuerString() string {
 // field and the Signature first.
 func (c *Certificate) seal() {
 	c.self = c
-	c.sigMemo = &sync.Map{}
 	sum := sha256.Sum256(c.Marshal())
 	c.fingerprint = hex.EncodeToString(sum[:])
 	c.subjectKey = subjectKeyOf(c.Subject, c.SerialNumber)
@@ -168,26 +157,8 @@ func (c *Certificate) ValidAt(t time.Time) bool {
 	return !t.Before(c.NotBefore) && !t.After(c.NotAfter)
 }
 
-// CheckSignatureFrom verifies that parent's key signed c. The outcome
-// is memoized per (c, parent) pair when both certificates are sealed:
-// verification is a pure function of two immutable inputs, and the
-// study re-validates the same links every simulated month.
+// CheckSignatureFrom verifies that parent's key signed c.
 func (c *Certificate) CheckSignatureFrom(parent *Certificate) error {
-	memoizable := c.self == c && parent.self == parent && c.sigMemo != nil
-	if memoizable {
-		if v, ok := c.sigMemo.Load(parent); ok {
-			err, _ := v.(error)
-			return err
-		}
-	}
-	err := c.checkSignatureFrom(parent)
-	if memoizable {
-		c.sigMemo.Store(parent, err)
-	}
-	return err
-}
-
-func (c *Certificate) checkSignatureFrom(parent *Certificate) error {
 	if len(parent.PublicKey) != ed25519.PublicKeySize {
 		return fmt.Errorf("certs: parent %s has invalid public key", parent.Subject)
 	}
@@ -546,7 +517,15 @@ func (r *reader) byte() byte {
 	return b
 }
 
-func (r *reader) bool() bool { return r.byte() != 0 }
+// bool accepts only 0 and 1, so every accepted encoding is canonical:
+// re-encoding the parsed fields reproduces the signed bytes.
+func (r *reader) bool() bool {
+	b := r.byte()
+	if b > 1 && r.err == nil {
+		r.err = errors.New("non-canonical boolean")
+	}
+	return b == 1
+}
 
 func (r *reader) uint16() uint16 {
 	hi, lo := r.byte(), r.byte()

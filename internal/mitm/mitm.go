@@ -84,15 +84,17 @@ type Proxy struct {
 	mu       sync.Mutex
 	leaves   map[string]certs.KeyPair // forged per-host leaves (self-signed root)
 	bcLeaves map[string]certs.KeyPair // per-host leaves issued by the CA=false legitLeaf
+	spoofCAs map[string]certs.KeyPair // per-target spoofed CAs
 	spoofs   map[string]spoofChain    // per-(target, host) spoofed-CA chains
 }
 
 // spoofChain is a memoized SpoofedCA attack chain: the spoofed copy of
 // the target root plus the per-host leaf it issued. Spoof and Issue are
 // deterministic (seeded keys, deterministic signatures), so rebuilding
-// the chain for the same (target, host) reproduces it bit for bit —
-// memoizing only removes the repeated Ed25519 signing, which the probe
-// suite otherwise pays once per device for each of the ~200 CAs.
+// either reproduces it bit for bit, and memoizing only removes repeated
+// Ed25519 key derivation and signing. The spoofed CA depends on the
+// target alone and is built once per target; the leaf depends on the
+// host too and is built once per (target, host).
 type spoofChain struct {
 	spoof certs.KeyPair
 	leaf  certs.KeyPair
@@ -113,6 +115,7 @@ func NewProxy(nw *netem.Network, u *rootstore.Universe) *Proxy {
 		attackerRoot: certs.NewRootCA(certs.Name{CommonName: "mitm attacker root", Organization: "IoTLS", Country: "US"}, 6666, attackNotBefore, attackNotAfter, "mitm-attacker-root"),
 		leaves:       make(map[string]certs.KeyPair),
 		bcLeaves:     make(map[string]certs.KeyPair),
+		spoofCAs:     make(map[string]certs.KeyPair),
 		spoofs:       make(map[string]spoofChain),
 	}
 	p.legitLeaf = trusted.Issue(certs.Template{
@@ -183,15 +186,21 @@ func (p *Proxy) bcLeaf(host string) certs.KeyPair {
 	return leaf
 }
 
-// spoofChain memoizes the SpoofedCA chain for one (target, host) pair.
+// spoofChain memoizes the SpoofedCA chain for one (target, host) pair,
+// sharing the spoofed CA across every host attacked under one target.
 func (p *Proxy) spoofChain(spoofTarget *certs.Certificate, host string) spoofChain {
-	key := spoofTarget.Fingerprint() + "|" + host
+	target := spoofTarget.Fingerprint()
+	key := target + "|" + host
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if sc, ok := p.spoofs[key]; ok {
 		return sc
 	}
-	spoof := certs.Spoof(spoofTarget, "mitm-spoof-"+spoofTarget.SubjectKey())
+	spoof, ok := p.spoofCAs[target]
+	if !ok {
+		spoof = certs.Spoof(spoofTarget, "mitm-spoof-"+spoofTarget.SubjectKey())
+		p.spoofCAs[target] = spoof
+	}
 	leaf := spoof.Issue(certs.Template{
 		SerialNumber: serial(host) + 2,
 		Subject:      certs.Name{CommonName: host},

@@ -1,6 +1,7 @@
 package mitm
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -225,6 +226,34 @@ func TestSpoofedCAAlertSideChannel(t *testing.T) {
 	res = p.ProbeOnce(dev, dst, absent)
 	if res.ClientAlert == nil || res.ClientAlert.Description != wire.AlertUnknownCA {
 		t.Fatalf("spoofed absent CA alert = %v, want unknown_ca", res.ClientAlert)
+	}
+}
+
+func TestSpoofedCASharedAcrossHosts(t *testing.T) {
+	// The spoofed CA depends on the target alone: chains for two hosts
+	// under one target present the same CA, bit-identical to a fresh
+	// Spoof of the target.
+	_, reg, _, p := testbed(t)
+	target := device.OperationalCAs(reg.Universe)[0].Pair.Cert
+	chainA, leafA := p.chainFor(AttackSpoofedCA, "a.example.com", target)
+	chainB, leafB := p.chainFor(AttackSpoofedCA, "b.example.com", target)
+	if len(chainA) != 2 || len(chainB) != 2 {
+		t.Fatalf("chain lengths = %d, %d, want 2", len(chainA), len(chainB))
+	}
+	if chainA[1] != chainB[1] {
+		t.Fatal("two hosts under one target got distinct spoofed CAs")
+	}
+	if bytes.Equal(leafA.Cert.Marshal(), leafB.Cert.Marshal()) {
+		t.Fatal("two hosts got the same leaf")
+	}
+	fresh := certs.Spoof(target, "mitm-spoof-"+target.SubjectKey())
+	if !bytes.Equal(chainA[1].Marshal(), fresh.Cert.Marshal()) {
+		t.Fatal("memoized spoofed CA differs from a fresh Spoof")
+	}
+	for _, leaf := range []certs.KeyPair{leafA, leafB} {
+		if err := leaf.Cert.CheckSignatureFrom(fresh.Cert); err != nil {
+			t.Fatalf("leaf %s does not chain to the fresh spoofed CA: %v", leaf.Cert.Subject, err)
+		}
 	}
 }
 
