@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt build test race race-parallel chaos dataset serve trace cluster fleet fuzz vet bench bench-telemetry bench-gate profile clean
+.PHONY: check fmt build test race race-parallel chaos dataset serve trace cluster fleet fuzz flake vet bench bench-telemetry bench-gate profile clean
 
 # check is the full verification gate: gofmt, vet, build, the test suite under
 # the race detector, the parallel-study workload under the race
@@ -88,13 +88,38 @@ fleet:
 	$(GO) test -run 'TestFleetSmoke|TestFleetDeterminism' -count=1 -timeout 15m ./internal/fleet/
 
 # fuzz runs each native fuzz target for a bounded time (go test fuzzes
-# one target per invocation). The certificate decoder must never panic,
-# and every encoding it accepts must re-marshal byte for byte. A failing
-# input lands in the package's testdata/fuzz/ directory; commit it, and
-# plain `go test` replays it as a regression test from then on.
+# one target per invocation). The certificate and wire decoders must
+# never panic; every certificate encoding they accept must re-marshal
+# byte for byte, and every accepted record, handshake message,
+# ClientHello and alert must survive re-encoding and re-parsing
+# unchanged. A failing input lands in the package's testdata/fuzz/
+# directory; commit it, and plain `go test` replays it as a regression
+# test from then on.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/certs/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseChain$$' -fuzztime 20s ./internal/certs/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadRecord$$' -fuzztime 20s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseHandshake$$' -fuzztime 20s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseClientHello$$' -fuzztime 20s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseAlert$$' -fuzztime 20s ./internal/wire/
+
+# flake reruns the timing-sensitive suites five times at 1, 2 and 4
+# procs and fails on any single failure: the core chaos and trace
+# determinism tests, the coordinator cluster tests, the serve suite,
+# the fleet determinism test, and netem. It is not part of check; run
+# it after any change to connection or scheduling timing.
+FLAKE = -count=5 -cpu 1,2,4
+flake:
+	$(GO) test $(FLAKE) -run 'TestChaos|TestTraceDeterminism|TestTraceErrorsAttributesDegradations|TestStudyLeaksNoSpans' \
+		-timeout 60m ./internal/core/
+	$(GO) test $(FLAKE) -run 'TestCoordinateMatchesLocal|TestCoordChaosMatrix|TestCoordSpeculationWins|TestCoordElasticJoinLeave|TestCoordPartialOnExhaustion' \
+		-timeout 60m ./internal/coord/
+	$(GO) test $(FLAKE) -run 'TestCancel|TestLease|TestReadyz|TestFetch' \
+		-timeout 30m ./internal/serve/ ./internal/dataset/ ./internal/fault/
+	$(GO) test $(FLAKE) -run 'TestScheduler|TestConcurrentJobsMatchSequential|TestDrain|TestHTTPAPIEndToEnd|TestQueueFullSheds429|TestAnalyzeAndMergeJobs|TestPerJobTelemetryIsolation' \
+		-timeout 30m ./internal/serve/
+	$(GO) test $(FLAKE) -run 'TestFleetDeterminism' -timeout 30m ./internal/fleet/
+	$(GO) test $(FLAKE) -timeout 10m ./internal/netem/
 
 # trace pins the causal-trace contracts under the race detector: an
 # aggressive-fault study at parallelism 1 and 8 emits byte-identical

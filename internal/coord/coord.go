@@ -395,6 +395,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 			return nil, ctx.Err()
 		}
 	}
+	c.settleExcluded(loopCtx, c.jobs...)
 
 	// Wind the fleet down before touching the results: monitors stop,
 	// leases release, so workers don't reap anything mid-merge.
@@ -510,16 +511,18 @@ func (c *Coordinator) dispatch(ctx context.Context, workDir string) {
 	}
 }
 
-// settleExcluded resolves the liveness of every worker that j has
-// excluded before j is declared lost. The attempt that excluded a
-// worker can fail fast on a severed connection long before the
-// heartbeats count the worker dead, so one synchronous readiness probe
-// per undecided worker decides it now; a failed probe marks the worker
-// lost through the same path as missed heartbeats. Either way the job
-// stays lost: a live worker that failed it is still excluded.
-func (c *Coordinator) settleExcluded(ctx context.Context, j *subJob) {
+// settleExcluded resolves the liveness of every worker that one of
+// jobs has excluded, before a job is declared lost and again before
+// the run ends. The attempt that excluded a worker can fail fast on a
+// severed connection long before the heartbeats count the worker dead,
+// and the rest of the run can finish sooner still, so one synchronous
+// readiness probe per undecided worker decides it now; a failed probe
+// marks the worker lost through the same path as missed heartbeats.
+// Either way the exclusions stand: a live worker that failed a job is
+// still excluded from it.
+func (c *Coordinator) settleExcluded(ctx context.Context, jobs ...*subJob) {
 	for _, w := range c.workers {
-		if !j.excluded[w.name] || w.state == workerLost || w.state == workerLeaving {
+		if w.state == workerLost || w.state == workerLeaving || !excludedByAny(jobs, w) {
 			continue
 		}
 		probeCtx, cancel := context.WithTimeout(ctx, c.opts.ProbeTimeout)
@@ -529,6 +532,16 @@ func (c *Coordinator) settleExcluded(ctx context.Context, j *subJob) {
 			c.markLost(w, "readiness probe failed with every worker exhausted")
 		}
 	}
+}
+
+// excludedByAny reports whether some job in jobs has excluded w.
+func excludedByAny(jobs []*subJob, w *workerState) bool {
+	for _, j := range jobs {
+		if j.excluded[w.name] {
+			return true
+		}
+	}
+	return false
 }
 
 // pickWorker returns the least-loaded ready worker with a free slot

@@ -123,8 +123,10 @@ func fleetWindowRun(t testing.TB, n int) (int, int) {
 // under -short) runs a two-month passive window through the
 // month-spill path, and peak RSS stays under a ceiling that a
 // whole-run in-memory capture store — or unshared per-device configs —
-// would blow through. Measured baseline is ~200 MiB at 10k devices;
-// the ceiling leaves ~2.5x headroom for toolchain drift.
+// would blow through. Measured baseline is ~81 MiB at 10k devices
+// (2 vCPU, go1.24.0); the ceiling leaves ~2.5x headroom for toolchain
+// drift. Under -race (`make race`) the same run measures ~212 MiB, and
+// the ceiling there stays at 512 MiB (~2.4x).
 func TestFleetSmoke(t *testing.T) {
 	n := 10_000
 	if testing.Short() {
@@ -138,7 +140,10 @@ func TestFleetSmoke(t *testing.T) {
 		t.Fatal("fleet run spilled no capture records")
 	}
 	if kib, ok := fleet.PeakRSSKiB(); ok {
-		const ceilingKiB = 512 << 10 // 512 MiB
+		ceilingKiB := int64(200 << 10) // 200 MiB
+		if raceEnabled {
+			ceilingKiB = 512 << 10
+		}
 		t.Logf("fleet n=%d: %d handshakes, %d records spilled, peak RSS %d KiB", n, handshakes, spilled, kib)
 		if kib > ceilingKiB {
 			t.Errorf("peak RSS %d KiB exceeds the %d KiB fleet ceiling", kib, ceilingKiB)

@@ -1,7 +1,8 @@
 // Fault materialization: the handlers and conn wrappers that turn a
-// fault.Decision into observable connection behaviour. Every path here
-// is deadlock-safe on the unbuffered net.Pipe transport and yields a
-// deterministic failure class on the client:
+// fault.Decision into observable connection behaviour. Writes on the
+// Pipe transport never block, so no path here can deadlock; each is
+// also ordered so that it yields a deterministic failure class on the
+// client whatever the scheduling:
 //
 //   - reset:    the ClientHello is consumed in full, then the
 //     connection closes abruptly -> FailPeerClosed.
@@ -22,9 +23,9 @@ import (
 
 // resetAfterHello serves the KindReset fault: it reads exactly one TLS
 // record (the ClientHello) and then closes. Reading the full record
-// matters twice over — the client's blocking record write completes
-// (no partial-write deadlock), and the mirror observes the same bytes
-// at any scheduling, keeping captured artifacts bit-identical.
+// before closing means both of the client's record writes have landed
+// by then, so they always succeed and the mirror observes the same
+// bytes at any scheduling, keeping captured artifacts bit-identical.
 func resetAfterHello(conn net.Conn, _ ConnMeta) {
 	defer conn.Close()
 	var hdr [5]byte
@@ -43,7 +44,7 @@ func resetAfterHello(conn net.Conn, _ ConnMeta) {
 // first write is cut short at a seeded offset and the connection
 // closes. Later writes fail without touching the pipe.
 type truncateConn struct {
-	net.Conn // the *serverConn
+	net.Conn // the server end of the Pipe
 	entropy  uint64
 
 	mu    sync.Mutex
@@ -86,13 +87,14 @@ func (c *truncateConn) StallPeer() {
 
 // corruptConn serves the KindCorrupt fault: it flips one seeded byte of
 // the server's fourth write. Writes one and two are the ServerHello
-// record (header, payload) — which the client parses immediately on
-// receipt, where an error answer could cross the server's next write
-// on the unbuffered pipe — so the corruption targets write four, the
-// Certificate message payload, which the client only reacts to after
-// reading the server's full flight.
+// record (header, payload), which the client parses immediately on
+// receipt; an alert-and-close answered there would race the server's
+// remaining writes, so whether those fail would depend on scheduling.
+// The corruption therefore targets write four, the Certificate message
+// payload, which the client only reacts to after reading the server's
+// full flight, when the server has finished writing and is reading.
 type corruptConn struct {
-	net.Conn // the *serverConn
+	net.Conn // the server end of the Pipe
 	entropy  uint64
 
 	mu     sync.Mutex

@@ -5,9 +5,11 @@
 // experiments) and actively redirect connections to an interception
 // handler (the paper's mitmproxy-based active experiments).
 //
-// Connections are real net.Conn pairs (net.Pipe), so TLS state machines
-// running on top exercise genuine blocking reads/writes, deadlines and
-// close semantics.
+// Connections are the two ends of a Pipe: real net.Conns whose reads
+// block, time out and see EOF as net.Pipe's do, but whose writes are
+// buffered, so TLS state machines running on top exercise genuine
+// blocking reads, deadlines and close semantics without a goroutine
+// rendezvous per write.
 package netem
 
 import (
@@ -444,16 +446,7 @@ func (n *Network) DialTraced(srcHost, dstHost string, dstPort int, sp *trace.Spa
 		return nil, fmt.Errorf("%w: %s", ErrNoRoute, meta.Addr())
 	}
 
-	clientSide, serverSide := net.Pipe()
-	st := &stallState{peer: clientSide}
-	var client net.Conn = &stallConn{
-		Conn: &addrConn{Conn: clientSide, local: hostAddr(srcHost), remote: hostAddr(meta.Addr())},
-		st:   st,
-	}
-	server := &serverConn{
-		Conn: &addrConn{Conn: serverSide, local: hostAddr(meta.Addr()), remote: hostAddr(srcHost)},
-		st:   st,
-	}
+	client, server := Pipe(srcHost, meta.Addr())
 
 	if mirror != nil {
 		if m := mirror(meta); m != nil {
@@ -464,7 +457,7 @@ func (n *Network) DialTraced(srcHost, dstHost string, dstPort int, sp *trace.Spa
 
 	// The truncate and corrupt faults let the connection reach its real
 	// handler but degrade the server's writes.
-	var srv net.Conn = server
+	srv := server
 	switch dec.Kind {
 	case fault.KindTruncate:
 		n.hot.faultsTruncate.Inc()
@@ -500,77 +493,15 @@ func (n *Network) WaitHandlers() {
 	n.handlers.Wait()
 }
 
-// hostAddr is a net.Addr naming a simulated host.
-type hostAddr string
-
-func (h hostAddr) Network() string { return "iotls" }
-func (h hostAddr) String() string  { return string(h) }
-
-// addrConn decorates a pipe conn with meaningful addresses.
-type addrConn struct {
-	net.Conn
-	local, remote net.Addr
-}
-
-func (c *addrConn) LocalAddr() net.Addr  { return c.local }
-func (c *addrConn) RemoteAddr() net.Addr { return c.remote }
-
-// Staller is implemented by the server side of every dialed connection.
-// A handler that intends never to answer again calls StallPeer, which
-// fails the client's pending and future reads immediately with a
-// timeout instead of making it wait out its handshake deadline. The
-// failure class the client observes is identical to a real timeout
-// (FailIncomplete territory), but the outcome no longer depends on
-// wall-clock scheduling — the property the parallel engine's
-// bit-identical-artifacts guarantee rests on.
+// Staller is implemented by both ends of a Pipe, and so by the server
+// side of every dialed connection. A handler that intends never to
+// answer again calls StallPeer, which fails the client's pending and
+// future reads immediately with a timeout instead of making it wait
+// out its handshake deadline. The failure class the client observes is
+// identical to a real timeout (FailIncomplete territory), but the
+// outcome no longer depends on wall-clock scheduling — the property the
+// parallel engine's bit-identical-artifacts guarantee rests on.
 type Staller interface{ StallPeer() }
-
-// stallState coordinates a declared stall with the client's own
-// deadline management: once stalled, the client's read deadline is
-// pinned in the past and stallConn refuses to move it forward.
-type stallState struct {
-	mu      sync.Mutex
-	stalled bool
-	peer    net.Conn // raw client pipe end
-}
-
-// stallConn is the client end of a dialed connection.
-type stallConn struct {
-	net.Conn // addrConn
-	st       *stallState
-}
-
-func (c *stallConn) SetDeadline(t time.Time) error {
-	c.st.mu.Lock()
-	defer c.st.mu.Unlock()
-	if c.st.stalled {
-		return c.Conn.SetWriteDeadline(t)
-	}
-	return c.Conn.SetDeadline(t)
-}
-
-func (c *stallConn) SetReadDeadline(t time.Time) error {
-	c.st.mu.Lock()
-	defer c.st.mu.Unlock()
-	if c.st.stalled {
-		return nil
-	}
-	return c.Conn.SetReadDeadline(t)
-}
-
-// serverConn is the server end of a dialed connection.
-type serverConn struct {
-	net.Conn // addrConn
-	st       *stallState
-}
-
-// StallPeer implements Staller.
-func (c *serverConn) StallPeer() {
-	c.st.mu.Lock()
-	defer c.st.mu.Unlock()
-	c.st.stalled = true
-	c.st.peer.SetReadDeadline(time.Unix(1, 0))
-}
 
 // mirroredConn copies all traffic through a Mirror. Reads observe
 // server->client bytes; writes observe client->server bytes.

@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/ciphers"
+	"repro/internal/wire"
 )
 
 // These tests pin down how the client classifies the wire damage the
@@ -125,5 +128,25 @@ func TestClientClassifiesCorruptedCertificateDeterministically(t *testing.T) {
 		if len(classes) != 1 {
 			t.Fatalf("offset %d: corruption produced multiple failure classes: %v", offset, classes)
 		}
+	}
+}
+
+// TestServeClassifiesClientHangupAsPeerClosed: a client that hangs up
+// while the server still has flight to write (as one does when a
+// corrupted Certificate header fails its parse) must cost the server
+// the same failure class whether the close meets the server's next
+// write or, on a buffered transport, its next read. Here the client
+// hangs up right after its hello, so the ServerHello write meets it.
+func TestServeClassifiesClientHangupAsPeerClosed(t *testing.T) {
+	root, server := testPKI(t, "h.com")
+	cc, sc := net.Pipe()
+	go func() {
+		hello := defaultClient(root).BuildClientHello("h.com", 1)
+		wire.WriteHandshake(cc, ciphers.TLS12, hello.Message())
+		cc.Close()
+	}()
+	res := Serve(sc, defaultServer(root, server))
+	if res.Err == nil || res.Err.Class != FailPeerClosed {
+		t.Fatalf("server result = %v, want %v", res.Err, FailPeerClosed)
 	}
 }

@@ -75,7 +75,8 @@ func (r *msgReader) expect(t wire.HandshakeType) (wire.Handshake, *HandshakeErro
 	return msg, nil
 }
 
-// classifyReadError buckets a transport read error.
+// classifyReadError buckets a transport error. Write errors go through
+// it too wherever a peer's close can reach a write or a read first.
 func classifyReadError(err error) *HandshakeError {
 	var ne net.Error
 	switch {

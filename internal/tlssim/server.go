@@ -135,17 +135,21 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 	if cfg.OCSPStaple && ch.RequestsOCSPStaple() {
 		sh.Extensions = append(sh.Extensions, wire.Extension{Type: wire.ExtStatusRequest})
 	}
+	// A flight write fails when the client has already hung up, and on
+	// a buffered transport whether the write or the next read sees that
+	// depends on scheduling, so write errors are classified as reads
+	// are: a closed pipe is FailPeerClosed either way.
 	shMsg := sh.Message()
 	transcript.Write(shMsg.Marshal())
 	if err := wire.WriteHandshake(conn, recordVersion, shMsg); err != nil {
-		res.Err = failure(FailIO, nil, err)
+		res.Err = classifyReadError(err)
 		return res
 	}
 
 	certMsg := (&wire.CertificateMsg{Chain: cfg.Chain}).Message()
 	transcript.Write(certMsg.Marshal())
 	if err := wire.WriteHandshake(conn, recordVersion, certMsg); err != nil {
-		res.Err = failure(FailIO, nil, err)
+		res.Err = classifyReadError(err)
 		return res
 	}
 
@@ -155,7 +159,7 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 	doneMsg := wire.Handshake{Type: wire.TypeServerHelloDone, Body: proof}
 	transcript.Write(doneMsg.Marshal())
 	if err := wire.WriteHandshake(conn, recordVersion, doneMsg); err != nil {
-		res.Err = failure(FailIO, nil, err)
+		res.Err = classifyReadError(err)
 		return res
 	}
 	sp.Phase("server_flight_sent")
@@ -187,12 +191,12 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 
 	// Server CCS + Finished.
 	if err := wire.WriteRecord(conn, wire.Record{Type: wire.TypeChangeCipherSpec, Version: recordVersion, Payload: []byte{1}}); err != nil {
-		res.Err = failure(FailIO, nil, err)
+		res.Err = classifyReadError(err)
 		return res
 	}
 	sfin := wire.FinishedMsg{VerifyData: wire.ComputeVerifyData(transcript.Bytes(), "server")}
 	if err := wire.WriteHandshake(conn, recordVersion, sfin.Message()); err != nil {
-		res.Err = failure(FailIO, nil, err)
+		res.Err = classifyReadError(err)
 		return res
 	}
 

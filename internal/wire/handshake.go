@@ -134,7 +134,12 @@ func ParseClientHello(body []byte) (*ClientHello, error) {
 	for i := 0; p.err == nil && i+1 < len(suites); i += 2 {
 		ch.CipherSuites = append(ch.CipherSuites, ciphers.Suite(uint16(suites[i])<<8|uint16(suites[i+1])))
 	}
+	// compression_methods<1..2^8-1>: Marshal writes the null method for
+	// an empty list, so accepting one would not round-trip.
 	ch.CompressionMethods = append([]byte(nil), p.vec8()...)
+	if p.err == nil && len(ch.CompressionMethods) == 0 {
+		p.fail()
+	}
 	ch.Extensions = parseExtensions(&p)
 	if p.err != nil {
 		return nil, fmt.Errorf("wire: malformed ClientHello: %w", p.err)
