@@ -88,11 +88,12 @@ fleet:
 	$(GO) test -run 'TestFleetSmoke|TestFleetDeterminism' -count=1 -timeout 15m ./internal/fleet/
 
 # fuzz runs each native fuzz target for a bounded time (go test fuzzes
-# one target per invocation). The certificate and wire decoders must
-# never panic; every certificate encoding they accept must re-marshal
-# byte for byte, and every accepted record, handshake message,
+# one target per invocation). The certificate, wire and dataset decoders
+# must never panic; every certificate encoding they accept must
+# re-marshal byte for byte, every accepted record, handshake message,
 # ClientHello and alert must survive re-encoding and re-parsing
-# unchanged. A failing input lands in the package's testdata/fuzz/
+# unchanged, every accepted dataset manifest must survive encoding and
+# decoding, and corrupt dataset input must fail with ErrCorrupt. A failing input lands in the package's testdata/fuzz/
 # directory; commit it, and plain `go test` replays it as a regression
 # test from then on.
 fuzz:
@@ -102,6 +103,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseHandshake$$' -fuzztime 20s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseClientHello$$' -fuzztime 20s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAlert$$' -fuzztime 20s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 20s ./internal/dataset/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 20s ./internal/dataset/
 
 # flake reruns the timing-sensitive suites five times at 1, 2 and 4
 # procs and fails on any single failure: the core chaos and trace

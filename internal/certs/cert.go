@@ -82,13 +82,15 @@ type Certificate struct {
 	PublicKey ed25519.PublicKey
 	Signature []byte
 
-	// tbs caches the to-be-signed encoding and self guards it: the
-	// constructors (NewRootCA, Issue, Spoof, Parse) fill both, after
-	// which the certificate is immutable and the cache is safe to share
-	// across goroutines. The cache is honoured only when self still
-	// points at the certificate itself, so a shallow copy — which the
-	// corruption tests mutate field-by-field — re-encodes from its live
-	// fields instead of serving stale bytes.
+	// enc caches the full encoding, signature included, tbs its
+	// to-be-signed prefix, and self guards both: the constructors
+	// (NewRootCA, Issue, Spoof, Parse) fill them, after which the
+	// certificate is immutable and the cache is safe to share across
+	// goroutines. The cache is honoured only when self still points at
+	// the certificate itself, so a shallow copy — which the corruption
+	// tests mutate field-by-field — re-encodes from its live fields
+	// instead of serving stale bytes.
+	enc  []byte
 	tbs  []byte
 	self *Certificate
 
@@ -108,7 +110,7 @@ func (c *Certificate) Fingerprint() string {
 	if c.fingerprint != "" && c.self == c {
 		return c.fingerprint
 	}
-	sum := sha256.Sum256(c.Marshal())
+	sum := sha256.Sum256(c.encoding())
 	return hex.EncodeToString(sum[:])
 }
 
@@ -137,12 +139,18 @@ func (c *Certificate) issuerString() string {
 }
 
 // seal finalises a constructed (or parsed) certificate: it records the
-// self-guard and precomputes the derived identity strings so the hot
-// paths never re-derive them. Callers must have filled every signed
-// field and the Signature first.
+// self-guard, caches the full encoding with tbs as its prefix, and
+// precomputes the derived identity strings so the hot paths never
+// re-derive them. Callers must have filled every signed field, the
+// Signature and tbs first; Parse also fills enc with the bytes it
+// parsed, which are the canonical encoding.
 func (c *Certificate) seal() {
 	c.self = c
-	sum := sha256.Sum256(c.Marshal())
+	if c.enc == nil {
+		c.enc = c.encode()
+	}
+	c.tbs = c.enc[:len(c.tbs):len(c.tbs)]
+	sum := sha256.Sum256(c.enc)
 	c.fingerprint = hex.EncodeToString(sum[:])
 	c.subjectKey = subjectKeyOf(c.Subject, c.SerialNumber)
 	c.issuerStr = c.Issuer.String()
@@ -340,11 +348,26 @@ func Spoof(target *Certificate, keySeed string) KeyPair {
 
 const encodingVersion = 1
 
-// Marshal serialises the certificate, signature included.
-func (c *Certificate) Marshal() []byte {
-	var buf bytes.Buffer
-	buf.Write(c.marshalTBS())
-	writeBytes(&buf, c.Signature)
+// Marshal serialises the certificate, signature included, into a slice
+// the caller owns.
+func (c *Certificate) Marshal() []byte { return bytes.Clone(c.encoding()) }
+
+// encoding returns the full encoding, cached when the certificate came
+// from a constructor. Callers must not modify the returned slice.
+func (c *Certificate) encoding() []byte {
+	if c.enc != nil && c.self == c {
+		return c.enc
+	}
+	return c.encode()
+}
+
+// encode serialises the whole certificate from the to-be-signed
+// encoding and the live Signature.
+func (c *Certificate) encode() []byte {
+	tbs := c.marshalTBS()
+	buf := bytes.NewBuffer(make([]byte, 0, len(tbs)+2+len(c.Signature)))
+	buf.Write(tbs)
+	writeBytes(buf, c.Signature)
 	return buf.Bytes()
 }
 
@@ -417,7 +440,8 @@ func Parse(data []byte) (*Certificate, error) {
 	}
 	// The wire bytes are the canonical encoding: everything before the
 	// signature's length prefix is the TBS section.
-	c.tbs = append([]byte(nil), data[:len(data)-2-len(c.Signature)]...)
+	c.enc = bytes.Clone(data)
+	c.tbs = c.enc[:len(data)-2-len(c.Signature)]
 	c.seal()
 	return c, nil
 }
@@ -425,15 +449,17 @@ func Parse(data []byte) (*Certificate, error) {
 // MarshalChain serialises a certificate chain, leaf first, in the TLS
 // Certificate-message layout (per-certificate 24-bit length prefixes).
 func MarshalChain(chain []*Certificate) []byte {
-	var buf bytes.Buffer
+	n := 0
 	for _, c := range chain {
-		enc := c.Marshal()
-		buf.WriteByte(byte(len(enc) >> 16))
-		buf.WriteByte(byte(len(enc) >> 8))
-		buf.WriteByte(byte(len(enc)))
-		buf.Write(enc)
+		n += 3 + len(c.encoding())
 	}
-	return buf.Bytes()
+	out := make([]byte, 0, n)
+	for _, c := range chain {
+		enc := c.encoding()
+		out = append(out, byte(len(enc)>>16), byte(len(enc)>>8), byte(len(enc)))
+		out = append(out, enc...)
+	}
+	return out
 }
 
 // ParseChain decodes a chain produced by MarshalChain.

@@ -2,6 +2,7 @@ package certs
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -493,5 +494,33 @@ func TestMarshalParseProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Every key pair comes from deterministicKey, and the possession
+// proof's hand-off (tlssim) relies on this: a private key's embedded
+// public half is the public key of its seed and the key its certificate
+// carries, so Verify under that key accepts what the private key signs.
+func TestDeterministicKeyEmbedsSeedPublicKey(t *testing.T) {
+	root := testRoot(t)
+	leaf := issueLeaf(t, root, "h.com")
+	spoof := Spoof(root.Cert, "spoof")
+	for _, kp := range []KeyPair{root, leaf, spoof} {
+		pub, priv := kp.Cert.PublicKey, kp.Key
+		embedded := priv.Public().(ed25519.PublicKey)
+		fromSeed := ed25519.NewKeyFromSeed(priv.Seed()).Public().(ed25519.PublicKey)
+		if !bytes.Equal(embedded, fromSeed) || !bytes.Equal(pub, fromSeed) {
+			t.Fatalf("%s: embedded %x, from seed %x, certificate %x", kp.Cert.Subject, embedded, fromSeed, pub)
+		}
+		msg := []byte("proof input")
+		if !ed25519.Verify(embedded, msg, ed25519.Sign(priv, msg)) {
+			t.Fatalf("%s: signature does not verify under the embedded key", kp.Cert.Subject)
+		}
+	}
+	for _, seed := range []string{"", "sim-root", "mitm-leaf-a.example"} {
+		pub, priv := deterministicKey(seed)
+		if !bytes.Equal(priv.Public().(ed25519.PublicKey), pub) {
+			t.Fatalf("seed %q: embedded public half differs from the derived key", seed)
+		}
 	}
 }

@@ -224,3 +224,41 @@ func TestFaultsBypassTaps(t *testing.T) {
 		t.Fatalf("tap consulted %d times on a reset connection", tapped)
 	}
 }
+
+// A mirrored client takes what its handler left; a faulted handler's
+// conn carries nothing beside its bytes.
+func TestHandOffCrossesMirrorButNotFaults(t *testing.T) {
+	for _, kind := range []fault.Kind{fault.KindNone, fault.KindTruncate, fault.KindCorrupt} {
+		n, _ := newTestNetwork()
+		n.SetMirror(func(ConnMeta) Mirror { return &recordingMirror{} })
+		n.Listen("s.com", 443, func(conn net.Conn, _ ConnMeta) {
+			defer conn.Close()
+			if h, ok := conn.(HandOff); ok {
+				h.Leave("record")
+			}
+			conn.Write([]byte("flight"))
+		})
+		if kind != fault.KindNone {
+			n.SetFaultPlan(fault.NewPlan(1, onlyKind(kind)))
+		}
+		conn, err := n.Dial("d", "s.com", 443)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		io.ReadAll(conn)
+		var got any
+		if h, ok := conn.(interface{ Take() any }); ok {
+			got = h.Take()
+		}
+		want := any(nil)
+		if kind == fault.KindNone {
+			want = "record"
+		}
+		if got != want {
+			t.Errorf("fault %v: client took %v, want %v", kind, got, want)
+		}
+		conn.Close()
+		n.WaitHandlers()
+	}
+}

@@ -503,6 +503,22 @@ func (n *Network) WaitHandlers() {
 // parallel engine's bit-identical-artifacts guarantee rests on.
 type Staller interface{ StallPeer() }
 
+// HandOff is implemented by both ends of a Pipe. It carries one value
+// per direction beside the bytes: Leave puts v where the peer's next
+// Take finds it, replacing any value the peer has not taken, and Take
+// returns the value the peer left and clears the slot (nil if there is
+// none). One mutex orders it with the pipe's bytes, so a value left
+// before a Write is there for a Take that follows the Read of that
+// write.
+//
+// A mirrored client end forwards Take, so mirroring changes nothing.
+// The fault wrappers on the server end forward neither method, so a
+// degraded connection carries nothing beside its bytes.
+type HandOff interface {
+	Leave(v any)
+	Take() any
+}
+
 // mirroredConn copies all traffic through a Mirror. Reads observe
 // server->client bytes; writes observe client->server bytes.
 type mirroredConn struct {
@@ -539,6 +555,14 @@ func (c *mirroredConn) Write(p []byte) (int, error) {
 		c.nw.hot.mirrorClientBytes.Add(int64(n))
 	}
 	return n, err
+}
+
+// Take forwards HandOff's Take to the client end of the pipe.
+func (c *mirroredConn) Take() any {
+	if h, ok := c.Conn.(HandOff); ok {
+		return h.Take()
+	}
+	return nil
 }
 
 func (c *mirroredConn) Close() error {

@@ -32,7 +32,7 @@ import (
 //     deadline or closing wakes a blocked reader. No timer outlives a
 //     call, so a closed conn is garbage once its owners drop it.
 //
-// Both ends implement Staller.
+// Both ends implement Staller and HandOff.
 func Pipe(local, remote string) (net.Conn, net.Conn) {
 	p := &pipe{}
 	p.queues[0].wake = make(chan struct{}, 1)
@@ -55,6 +55,7 @@ type pipe struct {
 	mu     sync.Mutex
 	queues [2]queue // queues[i] holds the bytes end i has yet to read
 	closed [2]bool
+	left   [2]any // left[i] is the value awaiting end i's Take
 }
 
 // queue is one direction of a pipe.
@@ -199,7 +200,7 @@ func (c *pipeConn) Write(b []byte) (int, error) {
 }
 
 // Close closes this end. Bytes it already wrote stay readable by the
-// peer; bytes queued for it are dropped.
+// peer; bytes queued for it, and any value left for it, are dropped.
 func (c *pipeConn) Close() error {
 	p := c.p
 	p.mu.Lock()
@@ -208,6 +209,7 @@ func (c *pipeConn) Close() error {
 		p.closed[c.end] = true
 		in := &p.queues[c.end]
 		in.buf, in.off, in.chunks, in.head = nil, 0, nil, 0
+		p.left[c.end] = nil
 		p.queues[0].signal()
 		p.queues[1].signal()
 	}
@@ -223,6 +225,22 @@ func (c *pipeConn) StallPeer() {
 	q := &p.queues[1-c.end]
 	q.stalled = true
 	q.signal()
+}
+
+// Leave implements HandOff.
+func (c *pipeConn) Leave(v any) {
+	c.p.mu.Lock()
+	c.p.left[1-c.end] = v
+	c.p.mu.Unlock()
+}
+
+// Take implements HandOff.
+func (c *pipeConn) Take() any {
+	c.p.mu.Lock()
+	defer c.p.mu.Unlock()
+	v := c.p.left[c.end]
+	c.p.left[c.end] = nil
+	return v
 }
 
 func (c *pipeConn) SetDeadline(t time.Time) error      { return c.setDeadline(t, true, true) }

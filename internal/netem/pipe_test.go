@@ -260,3 +260,48 @@ func TestClosedConnsAreNotPinned(t *testing.T) {
 		t.Fatalf("live heap grew %d bytes after closing %d conns, want < 2 MiB", grew, conns)
 	}
 }
+
+func TestPipeHandOffOneSlotPerDirection(t *testing.T) {
+	a, b := Pipe("dev", "srv:443")
+	ha, hb := a.(HandOff), b.(HandOff)
+	if v := hb.Take(); v != nil {
+		t.Fatalf("fresh Take = %v, want nil", v)
+	}
+	ha.Leave("first")
+	ha.Leave("second")
+	hb.Leave("back")
+	if v := ha.Take(); v != "back" {
+		t.Fatalf("a took %v, want the value b left", v)
+	}
+	if v := hb.Take(); v != "second" {
+		t.Fatalf("b took %v, want the latest value a left", v)
+	}
+	if v := hb.Take(); v != nil {
+		t.Fatalf("second Take = %v, want nil: Take clears the slot", v)
+	}
+	ha.Leave("dropped")
+	b.Close()
+	if v := hb.Take(); v != nil {
+		t.Fatalf("Take after Close = %v, want nil", v)
+	}
+}
+
+// A value left before a write is there for the peer once it has read
+// that write's bytes.
+func TestPipeHandOffOrderedWithBytes(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		a, b := Pipe("dev", "srv:443")
+		go func() {
+			a.(HandOff).Leave(i)
+			a.Write([]byte("done"))
+		}()
+		buf := make([]byte, 4)
+		if _, err := io.ReadFull(b, buf); err != nil {
+			t.Fatal(err)
+		}
+		if v := b.(HandOff).Take(); v != i {
+			t.Fatalf("run %d: Take after Read = %v", i, v)
+		}
+		a.Close()
+	}
+}

@@ -2,7 +2,6 @@ package tlssim
 
 import (
 	"bytes"
-	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"io"
@@ -65,15 +64,14 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	}
 
 	ch := cfg.BuildClientHello(serverName, seq)
-	var transcript bytes.Buffer
 	chMsg := ch.Message()
-	transcript.Write(chMsg.Marshal())
+	transcript := newTranscript(4 + len(chMsg.Body))
 
 	recordVersion := ciphers.MinVersion(cfg.MaxVersion, ciphers.TLS12)
 	// Deadline covers the send too: a black-holed connection (nothing
 	// ever reads) must surface as an incomplete handshake, not a hang.
 	conn.SetDeadline(time.Now().Add(cfg.timeout()))
-	if err := wire.WriteHandshake(conn, recordVersion, chMsg); err != nil {
+	if err := writeMessage(conn, recordVersion, transcript, chMsg); err != nil {
 		return nil, classifyReadError(err)
 	}
 	sp.Phase("client_hello_sent")
@@ -92,7 +90,6 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	if err != nil {
 		return nil, failSendingAlert(conn, recordVersion, FailParameters, wire.AlertDecodeError, err)
 	}
-	transcript.Write(shMsg.Marshal())
 
 	// Read the rest of the server flight before reacting: real stacks
 	// process the full flight (TCP buffers it), and alerting mid-flight
@@ -106,6 +103,9 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 		return nil, herr
 	}
 	sp.Phase("server_flight_received")
+	// Room for the rest of the transcript: the server flight and our own.
+	transcript.grow(4 + len(shMsg.Body) + 4 + len(certMsg.Body) + 4 + len(doneMsg.Body) + clientFlightSize)
+	transcript.add(shMsg)
 
 	// Version acceptance: the server's choice must be one we offered.
 	if !acceptableVersion(cfg, ch, sh.Version) {
@@ -124,7 +124,7 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	if err != nil {
 		return nil, failSendingAlert(conn, recordVersion, FailParameters, wire.AlertDecodeError, err)
 	}
-	transcript.Write(certMsg.Marshal())
+	transcript.add(certMsg)
 
 	// Certificate validation, per the instance's policy.
 	state := cfg.State()
@@ -143,7 +143,7 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	}
 	if !bypass {
 		vsp := cfg.Trace.Child("chain_verify", serverName)
-		verr := validateServerCert(cfg, cm.Chain, serverName, doneMsg.Body, transcript.Bytes(), stapled)
+		verr := validateServerCert(cfg, conn, cm.Chain, serverName, doneMsg.Body, transcript.proofInput(), stapled)
 		if verr != nil {
 			vsp.End("rejected")
 		} else {
@@ -166,7 +166,7 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 		state.consecutiveFailures.Store(0)
 		sp.Phase("certificate_validated")
 	}
-	transcript.Write(doneMsg.Marshal())
+	transcript.add(doneMsg)
 
 	// Optional revocation checking (soft-fail, like real clients).
 	if len(cm.Chain) > 0 && cfg.AuxDialer != nil {
@@ -175,17 +175,14 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 
 	// Client flight: ClientKeyExchange, ChangeCipherSpec, Finished.
 	cke := wire.ClientKeyExchange(keyExchangeMaterial(ch.Random, sh.Random))
-	transcript.Write(cke.Marshal())
-	if err := wire.WriteHandshake(conn, recordVersion, cke); err != nil {
+	if err := writeMessage(conn, recordVersion, transcript, cke); err != nil {
 		return nil, failure(FailIO, nil, err)
 	}
 	if err := wire.WriteRecord(conn, wire.Record{Type: wire.TypeChangeCipherSpec, Version: recordVersion, Payload: []byte{1}}); err != nil {
 		return nil, failure(FailIO, nil, err)
 	}
-	fin := wire.FinishedMsg{VerifyData: wire.ComputeVerifyData(transcript.Bytes(), "client")}
-	finMsg := fin.Message()
-	transcript.Write(finMsg.Marshal())
-	if err := wire.WriteHandshake(conn, recordVersion, finMsg); err != nil {
+	fin := wire.FinishedMsg{VerifyData: wire.ComputeVerifyData(transcript.bytes(), "client")}
+	if err := writeMessage(conn, recordVersion, transcript, fin.Message()); err != nil {
 		return nil, failure(FailIO, nil, err)
 	}
 	sp.Phase("client_flight_sent")
@@ -195,7 +192,7 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	if herr != nil {
 		return nil, herr
 	}
-	want := wire.ComputeVerifyData(transcript.Bytes(), "server")
+	want := wire.ComputeVerifyData(transcript.bytes(), "server")
 	if !bytes.Equal(sfin.Body, want) {
 		a := wire.Alert{Level: wire.LevelFatal, Description: wire.AlertDecryptError}
 		wire.WriteAlert(conn, recordVersion, a)
@@ -253,17 +250,11 @@ func (e PinMismatchError) Error() string {
 }
 
 // validateServerCert applies the configured validation mode and verifies
-// the server's possession proof (the transcript signature carried in
-// ServerHelloDone).
-func validateServerCert(cfg *ClientConfig, chain []*certs.Certificate, serverName string, proof, transcript []byte, stapled bool) error {
+// the server's possession proof (the signature carried in
+// ServerHelloDone) over proofInput. Leaf pinning has already run.
+func validateServerCert(cfg *ClientConfig, conn net.Conn, chain []*certs.Certificate, serverName string, proof, proofInput []byte, stapled bool) error {
 	if len(chain) == 0 {
 		return errors.New("tlssim: server presented no certificate")
-	}
-	// Leaf pinning happens before (and regardless of) chain validation:
-	// a pinned client rejects any substituted certificate even when the
-	// chain would otherwise verify (e.g. via a compromised root).
-	if cfg.PinnedLeaf != "" && chain[0].Fingerprint() != cfg.PinnedLeaf {
-		return PinMismatchError{Kind: "leaf", Got: chain[0].Fingerprint()}
 	}
 	opts := certs.VerifyOptions{
 		Roots:        cfg.Roots,
@@ -282,8 +273,7 @@ func validateServerCert(cfg *ClientConfig, chain []*certs.Certificate, serverNam
 		}
 	}
 	// Possession proof: the presenter must hold the leaf private key.
-	if len(chain[0].PublicKey) != ed25519.PublicKeySize ||
-		!ed25519.Verify(chain[0].PublicKey, transcriptProofInput(transcript), proof) {
+	if !proofHolds(conn, chain[0].PublicKey, proofInput, proof) {
 		return certs.ErrSignature
 	}
 	// RFC 7633 must-staple: hard-fail when we asked for a staple, the
@@ -338,11 +328,6 @@ func keyExchangeMaterial(cr, sr [32]byte) []byte {
 		out[i] = cr[i] ^ sr[i]
 	}
 	return out
-}
-
-// transcriptProofInput prefixes the transcript for the possession proof.
-func transcriptProofInput(transcript []byte) []byte {
-	return append([]byte("iotls server proof:"), transcript...)
 }
 
 // noDeadline clears a connection deadline.

@@ -71,9 +71,6 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 	res.ClientHello = ch
 	sp.Phase("client_hello_received")
 
-	var transcript bytes.Buffer
-	transcript.Write(chMsg.Marshal())
-
 	switch cfg.Behavior {
 	case ServeIncompleteHandshake:
 		// Never answer. When the transport supports deterministic
@@ -140,25 +137,26 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 	// depends on scheduling, so write errors are classified as reads
 	// are: a closed pipe is FailPeerClosed either way.
 	shMsg := sh.Message()
-	transcript.Write(shMsg.Marshal())
-	if err := wire.WriteHandshake(conn, recordVersion, shMsg); err != nil {
+	certMsg := (&wire.CertificateMsg{Chain: cfg.Chain}).Message()
+	transcript := newTranscript(4 + len(chMsg.Body) + 4 + len(shMsg.Body) + 4 + len(certMsg.Body) +
+		4 + ed25519.SignatureSize + clientFlightSize)
+	transcript.add(chMsg)
+	if err := writeMessage(conn, recordVersion, transcript, shMsg); err != nil {
 		res.Err = classifyReadError(err)
 		return res
 	}
-
-	certMsg := (&wire.CertificateMsg{Chain: cfg.Chain}).Message()
-	transcript.Write(certMsg.Marshal())
-	if err := wire.WriteHandshake(conn, recordVersion, certMsg); err != nil {
+	if err := writeMessage(conn, recordVersion, transcript, certMsg); err != nil {
 		res.Err = classifyReadError(err)
 		return res
 	}
 
 	// ServerHelloDone carries the possession proof: an Ed25519 signature
-	// over the transcript so far, by the leaf key.
-	proof := ed25519.Sign(cfg.Key.Key, transcriptProofInput(transcript.Bytes()))
+	// over the transcript so far, by the leaf key. Its record for the
+	// peer is left before the message is written, so a client that has
+	// read the message finds it.
+	proof := signProof(conn, cfg, transcript.proofInput())
 	doneMsg := wire.Handshake{Type: wire.TypeServerHelloDone, Body: proof}
-	transcript.Write(doneMsg.Marshal())
-	if err := wire.WriteHandshake(conn, recordVersion, doneMsg); err != nil {
+	if err := writeMessage(conn, recordVersion, transcript, doneMsg); err != nil {
 		res.Err = classifyReadError(err)
 		return res
 	}
@@ -173,20 +171,20 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 		res.Err = herr
 		return res
 	}
-	transcript.Write(ckeMsg.Marshal())
+	transcript.add(ckeMsg)
 	finMsg, herr := mr.expect(wire.TypeFinished)
 	if herr != nil {
 		res.ClientAlert = mr.LastAlert
 		res.Err = herr
 		return res
 	}
-	wantClient := wire.ComputeVerifyData(transcript.Bytes(), "client")
+	wantClient := wire.ComputeVerifyData(transcript.bytes(), "client")
 	if !bytes.Equal(finMsg.Body, wantClient) {
 		res.Err = failSendingAlert(conn, recordVersion, FailParameters, wire.AlertDecryptError,
 			errors.New("tlssim: client Finished verify data mismatch"))
 		return res
 	}
-	transcript.Write(finMsg.Marshal())
+	transcript.add(finMsg)
 	sp.Phase("client_finished_verified")
 
 	// Server CCS + Finished.
@@ -194,7 +192,7 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 		res.Err = classifyReadError(err)
 		return res
 	}
-	sfin := wire.FinishedMsg{VerifyData: wire.ComputeVerifyData(transcript.Bytes(), "server")}
+	sfin := wire.FinishedMsg{VerifyData: wire.ComputeVerifyData(transcript.bytes(), "server")}
 	if err := wire.WriteHandshake(conn, recordVersion, sfin.Message()); err != nil {
 		res.Err = classifyReadError(err)
 		return res

@@ -49,14 +49,13 @@ type Handshake struct {
 }
 
 // Marshal frames the message with the 4-byte handshake header.
-func (h Handshake) Marshal() []byte {
-	out := make([]byte, 4+len(h.Body))
-	out[0] = byte(h.Type)
-	out[1] = byte(len(h.Body) >> 16)
-	out[2] = byte(len(h.Body) >> 8)
-	out[3] = byte(len(h.Body))
-	copy(out[4:], h.Body)
-	return out
+func (h Handshake) Marshal() []byte { return h.Append(make([]byte, 0, 4+len(h.Body))) }
+
+// Append appends the framed message to b and returns the extended slice.
+func (h Handshake) Append(b []byte) []byte {
+	n := len(h.Body)
+	b = append(b, byte(h.Type), byte(n>>16), byte(n>>8), byte(n))
+	return append(b, h.Body...)
 }
 
 // ParseHandshake decodes one handshake message and returns any trailing
@@ -331,8 +330,9 @@ type CertificateMsg struct {
 
 // Message frames the chain as a handshake Certificate message.
 func (cm *CertificateMsg) Message() Handshake {
-	b := newBuilder()
-	b.vec24(func(b *builder) { b.raw(certs.MarshalChain(cm.Chain)) })
+	chain := certs.MarshalChain(cm.Chain)
+	b := &builder{buf: make([]byte, 0, 3+len(chain))}
+	b.vec24(func(b *builder) { b.raw(chain) })
 	return Handshake{Type: TypeCertificate, Body: b.bytes()}
 }
 
